@@ -3,8 +3,8 @@
 // far into per-building floor plans, and publishes the results back
 // through the same API — the full client→cloud loop of the paper's
 // Section IV prototype on one machine. Each completed reconstruction is
-// additionally published to the read tier (internal/cloud/mapserve): a
-// monotonically versioned plan served as vector JSON and an
+// committed to the read tier (internal/cloud/mapserve), the only plan
+// store: a monotonically versioned plan served as vector JSON, SVG and an
 // occupancy-grid PNG with ETag/If-None-Match revalidation, plus a
 // localization endpoint that answers a single query frame (and optional
 // IMU snippet) with a pose on the current plan, matched against a
@@ -54,14 +54,15 @@
 //
 // With -data-dir the daemon is durable: every document mutation and every
 // acknowledged upload chunk goes through a write-ahead log before it is
-// confirmed, reconstruction progress is checkpointed per stage, and a
-// restart replays the log — partial uploads resume where they left off
-// and finished buildings are not reprocessed. Without -data-dir the
-// daemon is memory-only (the legacy -snapshot flag still saves/loads a
-// JSON dump at exit/start).
+// confirmed, pair-comparison decisions (and, with -delta, extracted
+// tracks) are journaled, and a restart replays the log — partial uploads
+// resume where they left off and a building whose published plan names
+// its current corpus is not reprocessed. Without -data-dir the daemon is
+// memory-only (the legacy -snapshot flag still saves/loads a JSON dump at
+// exit/start).
 //
 // Every derived artifact above the WAL — checkpoints, track artifacts,
-// the pair-cache export, SVG plans, and the read tier's plan records and
+// the pair-cache export, and the read tier's plan records and
 // localization indexes — is persisted under an integrity envelope
 // (internal/cloud/integrity) and verified on every read: a flipped bit is
 // quarantined and counted (integrity.*), never served, and the owning
@@ -190,8 +191,8 @@ func main() {
 		}
 		st = wal.Store()
 		recovered := wal.RecoveredUploads()
-		log.Printf("wal: recovered %d captures, %d plans, %d partial uploads from %s",
-			st.Len(server.CollCaptures), st.Len(server.CollPlans), len(recovered), *dataDir)
+		log.Printf("wal: recovered %d captures, %d partial uploads from %s",
+			st.Len(server.CollCaptures), len(recovered), *dataDir)
 		serverOpts = append(serverOpts, server.WithChunkLog(wal), server.WithRecoveredUploads(recovered))
 		if *snapshot != "" {
 			log.Print("-snapshot is ignored when -data-dir is set")
@@ -202,13 +203,12 @@ func main() {
 				log.Printf("snapshot load: %v (starting empty)", err)
 			}
 		} else {
-			log.Printf("loaded snapshot: %d captures, %d plans",
-				st.Len(server.CollCaptures), st.Len(server.CollPlans))
+			log.Printf("loaded snapshot: %d captures", st.Len(server.CollCaptures))
 		}
 	}
-	// The read tier serves versioned plans (vector JSON + PNG, ETag/304)
-	// and the localization endpoint; the processor publishes every
-	// completed reconstruction into it.
+	// The read tier is the only plan store: it serves versioned plans
+	// (vector JSON, SVG and PNG, ETag/304) and the localization endpoint,
+	// and the processor commits every completed reconstruction into it.
 	maps, err := mapserve.New(st,
 		mapserve.WithObs(reg),
 		mapserve.WithIndexCacheSize(*indexCache))
@@ -233,7 +233,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	proc := newProcessor(st, *hypotheses, *workers)
+	proc := newProcessor(st, maps, *hypotheses, *workers)
 	proc.obs = reg
 	proc.logMetrics = *metrics
 	proc.journal = journal
@@ -242,7 +242,6 @@ func main() {
 	proc.stageBudget = *stageTO
 	proc.delta = *delta
 	proc.rebuildEvery = *rebuildN
-	proc.maps = maps
 	proc.scrubPace = time.Millisecond
 	// start wires the integrity keeper, so the pair-cache load (which
 	// verifies the dump's envelope) must come after it.

@@ -23,8 +23,8 @@ import (
 	"crowdmap/internal/cloud/store"
 )
 
-// Store collections owned by the processor (the server owns captures and
-// plans; see server.CollCaptures / server.CollPlans).
+// Store collections owned by the processor (the server owns captures, see
+// server.CollCaptures; plans live in the read tier, see mapserve.CollServe).
 const (
 	// collDeadLetter holds capture archives quarantined as poison: they made
 	// reconstruction fail repeatedly, so they are moved out of the working
@@ -35,10 +35,6 @@ const (
 	collState = "state"
 	// statePairCache is the collState key of the exported pair cache.
 	statePairCache = "paircache"
-	// statePlanFp prefixes the collState key of a building's plan commit
-	// marker: the corpus fingerprint the stored plan and published read-tier
-	// version were built from, written only after both landed.
-	statePlanFp = "planfp/"
 )
 
 // maxCaptureFailures is how many failed reconstruction attempts a single
@@ -69,8 +65,8 @@ type processor struct {
 	mode crowdmap.Mode
 	// stageBudget is the soft per-stage wall-clock budget (0 = off).
 	stageBudget time.Duration
-	// journal checkpoints per-stage completion; a building whose plan stage
-	// already completed over the same corpus is skipped entirely.
+	// journal persists the pipeline's resumable stage payloads (pair
+	// decisions, delta-mode track artifacts) across restarts.
 	journal *crowdmap.CheckpointJournal
 	// cache persists pair-comparison decisions across reconstruction
 	// cycles: when new uploads arrive, only pairs involving new content are
@@ -93,15 +89,15 @@ type processor struct {
 	// reconstructDelta is the incremental entry point; a field so tests
 	// can substitute a stub.
 	reconstructDelta func(ctx context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config, state *crowdmap.DeltaState) (*crowdmap.Result, error)
-	// maps, when non-nil, receives each completed reconstruction through
-	// Publish: the read tier's versioned plan + localization index swap.
-	// Publish failures are logged and counted, never failed — the SVG plan
-	// is already stored, and the read tier keeps serving the previous
-	// complete version.
+	// maps is the read tier and the only plan store: each completed
+	// reconstruction is published there, and the published record, which
+	// names the corpus it was built from, is the job's commit point. A
+	// failed publish fails the job; the read tier keeps serving the
+	// previous complete version and the next scan redrives the building.
 	maps *mapserve.Service
 	// keep integrity-envelopes the processor's own persisted documents
-	// (SVG plans, the pair-cache export) and verifies everything it reads
-	// back; created by start, after obs is wired.
+	// (the pair-cache export) and verifies everything it reads back;
+	// created by start, after obs is wired.
 	keep *integrity.Keeper
 	// scrubPace throttles the background scrubber between documents so a
 	// scrub pass never monopolizes the store lock (0 = no pause).
@@ -130,10 +126,11 @@ type captureMeta struct {
 	building string
 }
 
-func newProcessor(st *store.Store, hypotheses, workers int) *processor {
+func newProcessor(st *store.Store, maps *mapserve.Service, hypotheses, workers int) *processor {
 	qp := crowdmap.DefaultQualityParams()
 	return &processor{
 		st:          st,
+		maps:        maps,
 		hypotheses:  hypotheses,
 		workers:     workers,
 		quality:     &qp,
@@ -293,11 +290,14 @@ func (p *processor) scan(ctx context.Context) error {
 	}
 	p.mu.Unlock()
 	for building, entries := range byBuilding {
-		// Fold the persisted artifacts' health into the fingerprint: losing
-		// or corrupting the plan or a read-tier document changes the marker,
-		// so the scheduler redrives the building and the job recomputes the
-		// lost artifact — self-healing with zero scheduler changes.
-		entries = append(entries, "health:"+p.healthMarker(building))
+		// Fold the read tier's health into the fingerprint: losing or
+		// corrupting a published document adds the marker, so the scheduler
+		// redrives the building and the job republishes — self-healing with
+		// zero scheduler changes. A successful publish leaves the marker as
+		// it was, so no job trails a real one.
+		if _, err := p.maps.Verify(building); err != nil {
+			entries = append(entries, "health:unverified")
+		}
 		p.sched.Mark(building, corpusFingerprint(entries))
 	}
 	p.obs.Gauge("sched.buildings.tracked").Set(float64(len(byBuilding)))
@@ -311,10 +311,9 @@ func (p *processor) scan(ctx context.Context) error {
 
 // corpusFingerprint hashes a building's sorted "captureID:rawHash"
 // entries into the dirty-tracking fingerprint. It deliberately uses raw
-// archive bytes (not decoded content) so the scan stays cheap; the
-// checkpoint journal inside the job uses crowdmap.CorpusFingerprint over
-// decoded captures, which serves the same invalidation role at the
-// stage level.
+// archive bytes (not decoded content) so the scan stays cheap; the job
+// itself compares crowdmap.CorpusFingerprint over decoded captures with
+// the corpus the published plan record names.
 func corpusFingerprint(entries []string) string {
 	sort.Strings(entries)
 	h := sha256.New()
@@ -325,78 +324,17 @@ func corpusFingerprint(entries []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// planIntact reports whether the building's SVG plan document is present
-// under a valid integrity envelope. A corrupt document is quarantined by
-// the check (the read path would have done the same) and reported as
-// missing, so the caller re-renders.
-func (p *processor) planIntact(building string) bool {
-	_, ok, err := p.keep.Get(server.CollPlans, building)
-	return err == nil && ok
-}
-
-// planState reports whether the plan document AND its commit marker
-// verify, and returns the corpus fingerprint the plan was committed
-// under. The pipeline journals the plan stage before the processor
-// stores the SVG, so "journal done" alone cannot distinguish a committed
-// plan from a crash that left the previous corpus's (intact, stale)
-// plan behind — the marker, written last, can.
-func (p *processor) planState(building string) (intact bool, fp string) {
-	if !p.planIntact(building) {
-		return false, ""
-	}
-	data, ok, err := p.keep.Get(collState, statePlanFp+building)
-	if err != nil || !ok {
-		return false, ""
-	}
-	return true, string(data)
-}
-
-// serveHealthy reports whether the read tier's persisted artifacts for
-// the building verify (or the read tier is off). "Never published" counts
-// as unhealthy so a reconstruction run publishes it.
-func (p *processor) serveHealthy(building string) bool {
-	if p.maps == nil {
-		return true
-	}
-	published, err := p.maps.Verify(building)
-	return published && err == nil
-}
-
-// healthMarker summarizes the building's persisted-artifact health for
-// the scan fingerprint.
-func (p *processor) healthMarker(building string) string {
-	serve := "off"
-	if p.maps != nil {
-		switch published, err := p.maps.Verify(building); {
-		case err != nil:
-			serve = "bad"
-		case !published:
-			serve = "unpublished"
-		default:
-			serve = "ok"
-		}
-	}
-	// The marker carries the committed corpus fingerprint (not just a
-	// bool): a stale-but-intact plan left by a crash between the journal
-	// write and the plan commit changes the marker and redrives the job.
-	plan := "bad"
-	if intact, fp := p.planState(building); intact {
-		plan = fp
-	}
-	return fmt.Sprintf("plan:%s;serve:%s", plan, serve)
-}
-
 // scrub is one background integrity pass: it walks every persisted
-// derived artifact — checkpoints, processor state, SVG plans, and the
-// read tier's records and indexes — verifying envelopes and codecs. A
-// corrupt document is quarantined by the verification itself; scrub then
-// runs a scan so the changed health markers redrive the owning buildings
-// and the artifacts are recomputed. Paced by scrubPace so a pass never
+// derived artifact — checkpoints, processor state, and the read tier's
+// records and indexes — verifying envelopes and codecs. A corrupt
+// document is quarantined by the verification itself; scrub then runs a
+// scan so the health markers redrive the owning buildings and the
+// artifacts are recomputed. Paced by scrubPace so a pass never
 // monopolizes the store.
 func (p *processor) scrub(ctx context.Context) error {
 	start := time.Now()
 	docs, corrupt := 0, 0
-	for _, coll := range []string{pipeline.CheckpointColl, collState, server.CollPlans} {
+	for _, coll := range []string{pipeline.CheckpointColl, collState} {
 		for _, key := range p.st.Keys(coll) {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -409,18 +347,16 @@ func (p *processor) scrub(ctx context.Context) error {
 			p.pace()
 		}
 	}
-	if p.maps != nil {
-		for _, b := range p.maps.Buildings() {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			docs++
-			if published, err := p.maps.Verify(b); published && err != nil {
-				corrupt++
-				log.Printf("scrub: read tier %s corrupt: %v", b, err)
-			}
-			p.pace()
+	for _, b := range p.maps.Buildings() {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		docs++
+		if published, err := p.maps.Verify(b); published && err != nil {
+			corrupt++
+			log.Printf("scrub: read tier %s corrupt: %v", b, err)
+		}
+		p.pace()
 	}
 	p.obs.Counter("scrub.passes").Inc()
 	p.obs.Counter("scrub.docs").Add(int64(docs))
@@ -532,11 +468,15 @@ func (p *processor) deltaState(building string) *crowdmap.DeltaState {
 	return st
 }
 
-// reconstructBuilding runs one building's corpus through the pipeline.
-// On a poison-capture failure it quarantines the capture and immediately
-// retries with the rest; on cancellation it returns without charging any
-// capture; on success it resets the failure count of every capture the
-// cycle included and checkpoints the pair cache.
+// reconstructBuilding runs one building's corpus through the pipeline and
+// publishes the result; the publish is the job's commit. On a
+// poison-capture failure it quarantines the capture and immediately
+// retries with the rest; on cancellation it returns the error without
+// charging any capture, as it does when the publish fails, so the next
+// scan redrives the job. A corpus-level failure of any other kind is
+// counted and the job finishes: the same corpus would fail the same way
+// on every scan. On success it resets the failure count of every capture
+// the cycle included and checkpoints the pair cache.
 func (p *processor) reconstructBuilding(ctx context.Context, building string, captures []*crowdmap.Capture, keyByID map[string]string) error {
 	for {
 		if len(captures) < 3 {
@@ -544,20 +484,13 @@ func (p *processor) reconstructBuilding(ctx context.Context, building string, ca
 			return nil
 		}
 		fp := crowdmap.CorpusFingerprint(captures)
-		planIntact, planFp := p.planState(building)
-		planOK := planIntact && planFp == fp
-		serveOK := p.serveHealthy(building)
-		journalDone := p.journal.Completed(building, crowdmap.StagePlan, fp)
-		if planOK && serveOK && journalDone {
-			// The plan stage already completed over exactly this corpus (a
+		if corpus, _, err := p.maps.VerifyCorpus(building); err == nil && corpus == fp {
+			// The served plan was committed from exactly this corpus (a
 			// restart, or a fresh scheduler over an old store) and every
-			// persisted artifact verifies: nothing to do.
+			// published artifact verifies: nothing to do.
 			log.Printf("%s: plan already reconstructed for this corpus, skipping", building)
 			return nil
 		}
-		// A completed journal with a missing/corrupt plan or read-tier
-		// artifact means this run is a repair, not new work.
-		repairRun := journalDone && (!planOK || !serveOK)
 		cfg := crowdmap.DefaultConfig()
 		cfg.Layout.Hypotheses = p.hypotheses
 		cfg.Workers = p.workers
@@ -590,64 +523,45 @@ func (p *processor) reconstructBuilding(ctx context.Context, building string, ca
 				return fmt.Errorf("%s: %w", building, err)
 			}
 			var ce *crowdmap.CaptureError
-			if errors.As(err, &ce) {
-				if p.noteFailure(storeKey(keyByID, ce.CaptureID), err) {
-					// Graceful degradation: drop the poison capture and
-					// immediately retry this building with the rest. Build a
-					// fresh slice — filtering in place would alias the array
-					// a caller may still hold.
-					kept := make([]*crowdmap.Capture, 0, len(captures)-1)
-					for _, c := range captures {
-						if c.ID != ce.CaptureID {
-							kept = append(kept, c)
-						}
+			if !errors.As(err, &ce) {
+				// Neither cancellation nor one capture's fault (say, a
+				// degenerate hallway shape): retrying the same corpus fails
+				// the same way. Finish the job so the scheduler marks this
+				// corpus done; a corpus change or a restart retries it.
+				p.obs.Counter("processor.corpus.failed").Inc()
+				log.Printf("%s: reconstruction failed, waiting for the corpus to change: %v", building, err)
+				return nil
+			}
+			if p.noteFailure(storeKey(keyByID, ce.CaptureID), err) {
+				// Graceful degradation: drop the poison capture and
+				// immediately retry this building with the rest. Build a
+				// fresh slice — filtering in place would alias the array a
+				// caller may still hold.
+				kept := make([]*crowdmap.Capture, 0, len(captures)-1)
+				for _, c := range captures {
+					if c.ID != ce.CaptureID {
+						kept = append(kept, c)
 					}
-					captures = kept
-					continue
 				}
+				captures = kept
+				continue
 			}
 			log.Printf("%s: reconstruction failed: %v", building, err)
 			return fmt.Errorf("%s: %w", building, err)
 		}
-		svg, err := res.Plan.RenderSVG()
+		// Publish is the commit: versioned JSON/SVG/PNG artifacts plus the
+		// localization index, swapped atomically so concurrent plan/locate
+		// readers never see a partial version, under a record that names
+		// this corpus. An unchanged plan keeps its version (and clients'
+		// 304s). A crash or failure before the record lands leaves the old
+		// record, whose corpus differs, so the build is redriven.
+		v, err := p.maps.Publish(building, res)
 		if err != nil {
-			log.Printf("%s: render: %v", building, err)
-			return fmt.Errorf("%s: render: %w", building, err)
+			p.obs.Counter("mapserve.publish.errors").Inc()
+			log.Printf("%s: mapserve publish: %v", building, err)
+			return fmt.Errorf("%s: publish: %w", building, err)
 		}
-		if err := p.keep.Put(server.CollPlans, building, svg); err != nil {
-			log.Printf("%s: store plan: %v", building, err)
-			return fmt.Errorf("%s: store plan: %w", building, err)
-		}
-		if repairRun {
-			if !planOK {
-				p.obs.Counter("integrity.repaired").Inc()
-			}
-			p.obs.Counter("processor.plan.repaired").Inc()
-			log.Printf("%s: repaired persisted artifacts (plan intact=%t, serve intact=%t)",
-				building, planOK, serveOK)
-		}
-		// Publish to the read tier after the SVG store succeeds: versioned
-		// vector/PNG artifacts plus the localization index, swapped
-		// atomically so concurrent plan/locate readers never see a partial
-		// version. An unchanged plan keeps its version (and clients' 304s).
-		published := true
-		if p.maps != nil {
-			if v, err := p.maps.Publish(building, res); err != nil {
-				published = false
-				p.obs.Counter("mapserve.publish.errors").Inc()
-				log.Printf("%s: mapserve publish: %v", building, err)
-			} else {
-				log.Printf("%s: serving plan version %d (etag %.12s)", building, v.Version, v.ETag)
-			}
-		}
-		// The commit marker goes last: it asserts plan AND read tier were
-		// built from this corpus, so a crash anywhere above leaves a stale
-		// marker and the next scan redrives the build.
-		if published {
-			if err := p.keep.Put(collState, statePlanFp+building, []byte(fp)); err != nil {
-				log.Printf("%s: store plan marker: %v", building, err)
-			}
-		}
+		log.Printf("%s: serving plan version %d (etag %.12s)", building, v.Version, v.ETag)
 		// Degraded-mode aftermath: captures the pipeline excluded (gate
 		// rejection, recovered panic) are proven poison — dead-letter them
 		// now, without waiting for three strikes, so the next scan's corpus

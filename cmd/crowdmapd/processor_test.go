@@ -23,6 +23,11 @@ import (
 	"crowdmap/internal/world"
 )
 
+// seededArchives memoizes seedCaptures' encoded archives by capture ID:
+// the ID names building and seed, and rendering plus encoding one
+// capture costs about half a second.
+var seededArchives sync.Map
+
 // seedCaptures stores n encoded captures for one building, returning
 // their IDs in insertion order. The geo tag is overridden to building so
 // one generated world can seed corpora for several logical buildings.
@@ -39,16 +44,19 @@ func seedCaptures(t *testing.T, st *store.Store, building string, n int, seedBas
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s-cap-%d", building, seedBase+int64(i))
-		c, err := gen.SWS(id, users[0], geom.P(3, 7.5), geom.P(14, 7.5), mathx.NewRNG(seedBase+int64(i)))
-		if err != nil {
-			t.Fatal(err)
+		data, ok := seededArchives.Load(id)
+		if !ok {
+			c, err := gen.SWS(id, users[0], geom.P(3, 7.5), geom.P(14, 7.5), mathx.NewRNG(seedBase+int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Geo.Building = building
+			if data, err = server.EncodeCapture(c); err != nil {
+				t.Fatal(err)
+			}
+			seededArchives.Store(id, data)
 		}
-		c.Geo.Building = building
-		data, err := server.EncodeCapture(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Put(server.CollCaptures, id, data); err != nil {
+		if err := st.Put(server.CollCaptures, id, append([]byte(nil), data.([]byte)...)); err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = id
@@ -68,12 +76,18 @@ func stubResult(building string) *crowdmap.Result {
 	}
 }
 
-// newTestProcessor builds a started processor with a journal over st and
-// the given number of building workers; Close is registered on t.
+// newTestProcessor builds a started processor with a journal and a read
+// tier over st and the given number of building workers; Close is
+// registered on t.
 func newTestProcessor(t *testing.T, st *store.Store, buildingWorkers int) *processor {
 	t.Helper()
-	proc := newProcessor(st, 100, 1)
-	proc.obs = crowdmap.NewMetricsRegistry()
+	reg := crowdmap.NewMetricsRegistry()
+	maps, err := mapserve.New(st, mapserve.WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := newProcessor(st, maps, 100, 1)
+	proc.obs = reg
 	journal, err := pipeline.NewJournal(st, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +152,7 @@ func TestProcessorQuarantinesPoisonCapture(t *testing.T) {
 	if _, ok := st.Get(server.CollCaptures, poison); ok {
 		t.Error("poison capture still in the working set")
 	}
-	if _, ok := st.Get(server.CollPlans, "Lab2"); !ok {
+	if _, ok := proc.maps.Plan("Lab2"); !ok {
 		t.Error("plan not produced from the remaining corpus")
 	}
 	if v := proc.obs.Snapshot().Counters["captures.deadlettered"]; v != 1 {
@@ -150,21 +164,24 @@ func TestProcessorQuarantinesPoisonCapture(t *testing.T) {
 	}
 }
 
+// corpusResult is stubResult stamped with the input's corpus
+// fingerprint, as the real pipeline stamps every result.
+func corpusResult(building string, captures []*crowdmap.Capture) *crowdmap.Result {
+	res := stubResult(building)
+	res.Corpus = crowdmap.CorpusFingerprint(captures)
+	return res
+}
+
 // TestProcessorSkipsCompletedJob: a building whose corpus is unchanged is
 // not re-enqueued, and even a fresh scheduler (daemon restart) skips it
-// via the plan-stage checkpoint.
+// because the published plan record names the same corpus.
 func TestProcessorSkipsCompletedJob(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 2)
 	var calls int32
-	stub := func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error) {
+	stub := func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
 		atomic.AddInt32(&calls, 1)
-		// Mimic the real pipeline's final checkpoint.
-		if err := cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePlan,
-			crowdmap.CorpusFingerprint(captures), nil); err != nil {
-			return nil, err
-		}
-		return stubResult("Lab2"), nil
+		return corpusResult("Lab2", captures), nil
 	}
 	proc := newTestProcessor(t, st, 1)
 	proc.reconstruct = stub
@@ -181,16 +198,173 @@ func TestProcessorSkipsCompletedJob(t *testing.T) {
 	if atomic.LoadInt32(&calls) != 1 {
 		t.Errorf("clean corpus re-reconstructed (%d calls)", calls)
 	}
-	// A restarted daemon (fresh scheduler state, same store+journal)
-	// enqueues the building once but the plan-stage checkpoint skips the
-	// actual reconstruction.
+	// A restarted daemon (fresh scheduler and read tier over the same
+	// store) enqueues the building once, but the published record's corpus
+	// skips the actual reconstruction.
 	proc2 := newTestProcessor(t, st, 1)
 	proc2.reconstruct = stub
 	if err := proc2.runOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if atomic.LoadInt32(&calls) != 1 {
-		t.Errorf("checkpointed job was reconstructed again after restart (%d calls)", calls)
+		t.Errorf("committed job was reconstructed again after restart (%d calls)", calls)
+	}
+	c := proc2.obs.Snapshot().Counters
+	if c["sched.jobs.completed"] != 1 || c["mapserve.publishes"]+c["mapserve.publish.unchanged"] != 0 {
+		t.Errorf("restart skip: completed=%d publishes=%d unchanged=%d, want 1/0/0",
+			c["sched.jobs.completed"], c["mapserve.publishes"], c["mapserve.publish.unchanged"])
+	}
+}
+
+// TestRestartRebuildsStaleRecord: a restarted processor whose on-disk
+// plan record was committed from an older corpus rebuilds and republishes
+// instead of skipping. This is the crash window between a finished
+// reconstruction and its publish: nothing but the record decides.
+func TestRestartRebuildsStaleRecord(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", 3, 2)
+	var calls atomic.Int32
+	stub := func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error) {
+		calls.Add(1)
+		return chaosReconstruct(context.Background(), captures, cfg)
+	}
+	proc := newTestProcessor(t, st, 1)
+	proc.reconstruct = stub
+	if err := proc.runOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	v1, ok := proc.maps.Plan("Lab2")
+	if !ok {
+		t.Fatal("first corpus not published")
+	}
+	// An upload lands, and the daemon dies before any job over the grown
+	// corpus commits.
+	seedCaptures(t, st, "Lab2", 1, 50)
+	captures, _, err := proc.buildingCaptures(context.Background(), "Lab2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc2 := newTestProcessor(t, st, 1)
+	proc2.reconstruct = stub
+	if err := proc2.runOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("restart over a grown corpus ran %d reconstructions, want 2 (stale record skipped)", got)
+	}
+	v2, ok := proc2.maps.Plan("Lab2")
+	if !ok || v2.Version != v1.Version+1 || v2.ETag == v1.ETag {
+		t.Fatalf("republish after restart = v%d/%.12s (ok=%t), want v%d with a new etag",
+			v2.Version, v2.ETag, ok, v1.Version+1)
+	}
+	corpus, _, err := proc2.maps.VerifyCorpus("Lab2")
+	if err != nil || corpus != crowdmap.CorpusFingerprint(captures) {
+		t.Fatalf("committed record names corpus %.12s (err %v), want the grown corpus", corpus, err)
+	}
+}
+
+// TestNoJobTrailsPublish: a real job's publish, the building's first
+// included, does not dirty the building again. The next scan enqueues
+// nothing and reconstructs nothing.
+func TestNoJobTrailsPublish(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", 3, 2)
+	var calls atomic.Int32
+	proc := newTestProcessor(t, st, 1)
+	proc.reconstruct = func(_ context.Context, captures []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+		calls.Add(1)
+		return corpusResult("Lab2", captures), nil
+	}
+	enqueued := func() int64 { return proc.obs.Snapshot().Counters["sched.jobs.enqueued"] }
+	ctx := context.Background()
+	for round := 1; round <= 2; round++ {
+		if round == 2 {
+			seedCaptures(t, st, "Lab2", 1, 70) // a later upload: a real job again
+		}
+		if err := proc.runOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); got != int32(round) {
+			t.Fatalf("round %d: %d reconstructions, want %d", round, got, round)
+		}
+		before := enqueued()
+		if err := proc.runOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := enqueued(); got != before {
+			t.Errorf("round %d: scan after a publish enqueued %d jobs, want 0", round, got-before)
+		}
+		if got := calls.Load(); got != int32(round) {
+			t.Errorf("round %d: scan after a publish reconstructed again (%d calls)", round, got)
+		}
+	}
+}
+
+// TestPublishFailureRedrivesJob: the publish is the job's commit, so a
+// result the read tier refuses fails the job, and the next scan over the
+// unchanged corpus reconstructs again.
+func TestPublishFailureRedrivesJob(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", 3, 2)
+	var calls atomic.Int32
+	proc := newTestProcessor(t, st, 1)
+	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+		calls.Add(1)
+		return &crowdmap.Result{Aggregation: &aggregate.Result{}}, nil // no plan: Publish refuses it
+	}
+	ctx := context.Background()
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c := proc.obs.Snapshot().Counters
+	if c["sched.jobs.failed"] != 1 || c["sched.jobs.completed"] != 0 {
+		t.Fatalf("failed publish: jobs failed=%d completed=%d, want 1/0",
+			c["sched.jobs.failed"], c["sched.jobs.completed"])
+	}
+	if c["mapserve.publish.errors"] != 1 {
+		t.Errorf("mapserve.publish.errors = %d, want 1", c["mapserve.publish.errors"])
+	}
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("unchanged corpus after a failed publish: %d reconstructions, want 2", got)
+	}
+}
+
+// TestCorpusFailureNotRetriedUntilChange: a failure that is neither
+// cancellation nor one capture's fault recurs on every retry of the same
+// corpus, so the job finishes, counted on processor.corpus.failed, and
+// only a corpus change runs it again.
+func TestCorpusFailureNotRetriedUntilChange(t *testing.T) {
+	st := store.New()
+	seedCaptures(t, st, "Lab2", 3, 2)
+	var calls atomic.Int32
+	proc := newTestProcessor(t, st, 1)
+	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
+		calls.Add(1)
+		return nil, errors.New("crowdmap: skeleton: degenerate input (collinear points?)")
+	}
+	ctx := context.Background()
+	for scan := 0; scan < 2; scan++ {
+		if err := proc.runOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("two scans of an unchanged failing corpus: %d reconstructions, want 1", got)
+	}
+	c := proc.obs.Snapshot().Counters
+	if c["processor.corpus.failed"] != 1 || c["sched.jobs.failed"] != 0 {
+		t.Errorf("processor.corpus.failed=%d sched.jobs.failed=%d, want 1/0",
+			c["processor.corpus.failed"], c["sched.jobs.failed"])
+	}
+	seedCaptures(t, st, "Lab2", 1, 80)
+	if err := proc.runOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("grown corpus: %d reconstructions, want 2", got)
 	}
 }
 
@@ -391,8 +565,8 @@ func TestProcessorDeadLettersExcludedCaptures(t *testing.T) {
 	if _, ok := st.Get(server.CollCaptures, bad); ok {
 		t.Error("excluded capture still in working set")
 	}
-	if _, ok := st.Get(server.CollPlans, "Lab2"); !ok {
-		t.Error("degraded plan not stored")
+	if _, ok := proc.maps.Plan("Lab2"); !ok {
+		t.Error("degraded plan not published")
 	}
 	if v := proc.obs.Snapshot().Counters["captures.deadlettered"]; v != 1 {
 		t.Errorf("captures.deadlettered = %d, want 1", v)
@@ -536,8 +710,8 @@ func TestProcessorOverlappingBuildings(t *testing.T) {
 		t.Errorf("peak concurrent reconstructions = %d, want >= 2", peak)
 	}
 	for _, b := range buildings {
-		if _, ok := st.Get(server.CollPlans, b); !ok {
-			t.Errorf("no plan stored for %s", b)
+		if _, ok := proc.maps.Plan(b); !ok {
+			t.Errorf("no plan published for %s", b)
 		}
 	}
 }
@@ -637,11 +811,7 @@ func TestProcessorPublishesToReadTier(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 2)
 	proc := newTestProcessor(t, st, 1)
-	maps, err := mapserve.New(st, mapserve.WithObs(proc.obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.maps = maps
+	maps := proc.maps
 	proc.reconstruct = func(_ context.Context, _ []*crowdmap.Capture, _ crowdmap.Config) (*crowdmap.Result, error) {
 		return stubResult("Lab2"), nil
 	}

@@ -8,7 +8,6 @@ import (
 	"crowdmap"
 	"crowdmap/internal/cloud/integrity"
 	"crowdmap/internal/cloud/mapserve"
-	"crowdmap/internal/cloud/server"
 	"crowdmap/internal/cloud/store"
 )
 
@@ -28,28 +27,26 @@ func corruptStoredDoc(t *testing.T, st *store.Store, coll, key string) {
 	}
 }
 
-// checkpointingStub returns a reconstruct stub that completes the plan
-// stage in the journal like the real pipeline does, so the processor's
-// skip/repair logic sees realistic checkpoint state.
-func checkpointingStub(runs *atomic.Int64) func(context.Context, []*crowdmap.Capture, crowdmap.Config) (*crowdmap.Result, error) {
+// countingStub returns a reconstruct stub that stamps the corpus
+// fingerprint on its result like the real pipeline does, so the
+// processor's skip/repair logic sees realistic commit state.
+func countingStub(runs *atomic.Int64) func(context.Context, []*crowdmap.Capture, crowdmap.Config) (*crowdmap.Result, error) {
 	return func(_ context.Context, captures []*crowdmap.Capture, cfg crowdmap.Config) (*crowdmap.Result, error) {
 		runs.Add(1)
-		fp := crowdmap.CorpusFingerprint(captures)
-		_ = cfg.Checkpoints.Complete(cfg.JobID, crowdmap.StagePlan, fp, nil)
-		return stubResult(cfg.JobID), nil
+		return corpusResult(cfg.JobID, captures), nil
 	}
 }
 
 // TestScanRepairsCorruptPlan: once a corpus is reconstructed and
-// checkpointed, further scans skip it — until the stored plan rots. The
-// health marker then changes the scheduler fingerprint, the job is
-// redriven as a repair run, and the plan document is rewritten intact.
+// published, further scans skip it — until the published plan record
+// rots. The health marker then changes the scheduler fingerprint, the job
+// is redriven, and the publish repairs the record under the same version.
 func TestScanRepairsCorruptPlan(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 40)
 	proc := newTestProcessor(t, st, 1)
 	var runs atomic.Int64
-	proc.reconstruct = checkpointingStub(&runs)
+	proc.reconstruct = countingStub(&runs)
 
 	ctx := context.Background()
 	if err := proc.runOnce(ctx); err != nil {
@@ -67,24 +64,30 @@ func TestScanRepairsCorruptPlan(t *testing.T) {
 		t.Fatalf("steady-state cycle re-ran reconstruction (%d runs)", runs.Load())
 	}
 
-	corruptStoredDoc(t, st, server.CollPlans, "Lab2")
+	before, _ := proc.maps.Plan("Lab2")
+	corruptStoredDoc(t, st, mapserve.CollServe, "Lab2/plan")
 	if err := proc.runOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 2 {
 		t.Fatalf("corruption did not redrive the job (%d runs)", runs.Load())
 	}
-	if !proc.planIntact("Lab2") {
-		t.Fatal("plan not repaired")
+	if published, err := proc.maps.Verify("Lab2"); !published || err != nil {
+		t.Fatalf("plan not repaired: (%v, %v)", published, err)
+	}
+	after, _ := proc.maps.Plan("Lab2")
+	if after.Version != before.Version || after.ETag != before.ETag {
+		t.Fatalf("repair changed the served identity: v%d/%.12s -> v%d/%.12s",
+			before.Version, before.ETag, after.Version, after.ETag)
 	}
 	c := proc.obs.Snapshot().Counters
-	if c["processor.plan.repaired"] != 1 {
-		t.Fatalf("processor.plan.repaired = %d, want 1", c["processor.plan.repaired"])
+	if c["mapserve.publish.repaired"] != 1 {
+		t.Fatalf("mapserve.publish.repaired = %d, want 1", c["mapserve.publish.repaired"])
 	}
 	if c["integrity.repaired"] == 0 || c["integrity.quarantined"] == 0 {
 		t.Fatalf("integrity counters not advanced: %v", c)
 	}
-	if _, ok := st.Get(integrity.QuarantineColl, server.CollPlans+"/Lab2"); !ok {
+	if _, ok := st.Get(integrity.QuarantineColl, mapserve.CollServe+"/Lab2/plan"); !ok {
 		t.Fatal("corrupt plan not quarantined")
 	}
 	// Repaired state is steady again.
@@ -97,20 +100,16 @@ func TestScanRepairsCorruptPlan(t *testing.T) {
 }
 
 // TestScrubDetectsAndRepairs: a scrub pass over a store with a rotten
-// plan and a rotten read-tier record quarantines both, counts them on
-// scrub.*, and redrives the owning building so every artifact verifies
-// again afterward.
+// pair-cache export and a rotten read-tier record quarantines both,
+// counts them on scrub.*, and redrives the owning building so every
+// artifact verifies again afterward.
 func TestScrubDetectsAndRepairs(t *testing.T) {
 	st := store.New()
 	seedCaptures(t, st, "Lab2", 3, 60)
 	proc := newTestProcessor(t, st, 1)
-	maps, err := mapserve.New(st, mapserve.WithObs(proc.obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.maps = maps
+	maps := proc.maps
 	var runs atomic.Int64
-	proc.reconstruct = checkpointingStub(&runs)
+	proc.reconstruct = countingStub(&runs)
 
 	ctx := context.Background()
 	if err := proc.runOnce(ctx); err != nil {
@@ -120,7 +119,7 @@ func TestScrubDetectsAndRepairs(t *testing.T) {
 		t.Fatalf("read tier unhealthy after first cycle: (%v, %v)", published, err)
 	}
 
-	corruptStoredDoc(t, st, server.CollPlans, "Lab2")
+	corruptStoredDoc(t, st, collState, statePairCache)
 	corruptStoredDoc(t, st, mapserve.CollServe, "Lab2/plan")
 	if err := proc.scrub(ctx); err != nil {
 		t.Fatal(err)
@@ -136,14 +135,16 @@ func TestScrubDetectsAndRepairs(t *testing.T) {
 	if c["scrub.corrupt"] < 2 {
 		t.Fatalf("scrub.corrupt = %d, want >= 2", c["scrub.corrupt"])
 	}
-	if c["scrub.docs"] < 3 {
-		t.Fatalf("scrub.docs = %d, want >= 3", c["scrub.docs"])
+	// The pair-cache export and the one published building: the stub
+	// journals no stage payloads.
+	if c["scrub.docs"] != 2 {
+		t.Fatalf("scrub.docs = %d, want 2", c["scrub.docs"])
 	}
 	if runs.Load() != 2 {
 		t.Fatalf("scrub did not redrive the building (%d runs)", runs.Load())
 	}
-	if !proc.planIntact("Lab2") {
-		t.Fatal("plan not repaired after scrub")
+	if _, ok, err := proc.keep.Get(collState, statePairCache); !ok || err != nil {
+		t.Fatalf("pair cache not rewritten after scrub: (%v, %v)", ok, err)
 	}
 	if published, err := maps.Verify("Lab2"); !published || err != nil {
 		t.Fatalf("read tier not repaired after scrub: (%v, %v)", published, err)

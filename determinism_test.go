@@ -160,8 +160,9 @@ func TestRestartMidJobResume(t *testing.T) {
 
 	// First attempt: runs to completion while checkpointing. The "crash"
 	// happens after it — what matters is that the journal now holds the
-	// stage records a mid-job death would have left behind (stages are
-	// checkpointed as they finish, not at the end).
+	// pair-decision payload a mid-job death after aggregation would have
+	// left behind (it is journaled when the stage finishes, not at the
+	// end).
 	st := store.New()
 	journal, err := pipeline.NewJournal(st, nil)
 	if err != nil {
@@ -174,10 +175,8 @@ func TestRestartMidJobResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := CorpusFingerprint(captures)
-	for _, stage := range []string{StageKeyframes, StagePairs, StageSkeleton, StagePlan} {
-		if !journal.Completed("Lab2", stage, fp) {
-			t.Fatalf("stage %s not checkpointed", stage)
-		}
+	if payload, ok := journal.Payload("Lab2", StagePairs, fp); !ok || len(payload) == 0 {
+		t.Fatalf("stage %s payload not checkpointed", StagePairs)
 	}
 
 	// Restart: a fresh journal over the surviving store and an EMPTY pair
@@ -205,7 +204,7 @@ func TestRestartMidJobResume(t *testing.T) {
 	checkSameResult(t, "uninterrupted vs resumed", ref, resumed)
 
 	// A changed corpus must NOT resume from stale checkpoints.
-	if journal2.Completed("Lab2", StagePlan, CorpusFingerprint(captures[:len(captures)-1])) {
+	if _, ok := journal2.Payload("Lab2", StagePairs, CorpusFingerprint(captures[:len(captures)-1])); ok {
 		t.Error("checkpoint accepted for a different corpus")
 	}
 }

@@ -13,11 +13,12 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"os"
 
 	"crowdmap"
-	"crowdmap/internal/cloud/integrity"
+	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/server"
 	"crowdmap/internal/cloud/store"
 )
@@ -25,9 +26,14 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// Cloud side: document store + ingestion server.
+	// Cloud side: document store, read tier (the plan store), and the
+	// ingestion server in front of both.
 	st := store.New()
-	srv, err := server.New(st)
+	maps, err := mapserve.New(st)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv, err := server.New(st, server.WithMapServe(maps))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,24 +84,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svg, err := res.Plan.RenderSVG()
+	// Publishing renders the plan (JSON, SVG, PNG) and the localization
+	// index into one versioned record, stored under an integrity envelope
+	// that the read tier verifies before it serves anything.
+	v, err := maps.Publish(building.Name, res)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Plan documents are stored under an integrity envelope — the server
-	// verifies it on every read and refuses to serve rotten bytes.
-	if err := st.Put(server.CollPlans, building.Name, integrity.Wrap(svg)); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("plan published: %d rooms, %d/%d tracks placed\n",
-		len(res.Plan.Rooms), len(res.Aggregation.Offsets), len(res.Tracks))
+	fmt.Printf("plan published as version %d: %d rooms, %d/%d tracks placed\n",
+		v.Version, len(res.Plan.Rooms), len(res.Aggregation.Offsets), len(res.Tracks))
 
-	// User side: download the published plan over HTTP.
-	resp, err := ts.Client().Get(ts.URL + "/api/v1/plans/" + building.Name)
+	// User side: download the published plan drawing over HTTP.
+	resp, err := ts.Client().Get(ts.URL + "/api/v1/buildings/" + building.Name + "/plan.svg")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		log.Fatalf("download plan: %s", resp.Status)
+	}
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		log.Fatal(err)

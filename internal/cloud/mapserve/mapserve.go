@@ -1,21 +1,22 @@
 // Package mapserve is crowdmapd's read tier: versioned floor-plan serving
 // and appearance-based localization over the reconstructed plans. The
 // write path (scheduler → reconstruction) publishes each completed result
-// here; readers then download the plan as vector JSON or a rendered
-// occupancy-grid PNG, revalidate cheaply with ETag/If-None-Match, and
-// localize a single query frame against a persisted per-building
-// key-frame index — the paper's "map as a by-product" consumed as an
-// online service.
+// here, and the published record is the only stored plan; readers then
+// download the plan as vector JSON, SVG or a rendered occupancy-grid PNG,
+// revalidate cheaply with ETag/If-None-Match, and localize a single query
+// frame against a persisted per-building key-frame index — the paper's
+// "map as a by-product" consumed as an online service.
 //
 // Versioning contract: every published plan carries a monotonically
 // increasing per-building version and a content-hash ETag. Publishing a
-// byte-identical reconstruction is a no-op (same version, same ETag, so
-// client caches stay valid); any content change bumps the version and
-// changes the ETag. The in-memory current-version pointer is swapped
-// atomically only after every artifact of the new version — vector JSON,
-// PNG, and the localization index — is durably stored, so a concurrent
-// reader (or a locate in flight during a reconstruction) always sees the
-// previous complete version, never a partially written one.
+// byte-identical reconstruction keeps the version and ETag, so client
+// caches stay valid (only the record's corpus fingerprint may be
+// rewritten); any content change bumps the version and changes the ETag.
+// The in-memory current-version pointer is swapped atomically only after
+// every artifact of the new version — vector JSON, SVG, PNG, and the
+// localization index — is durably stored, so a concurrent reader (or a
+// locate in flight during a reconstruction) always sees the previous
+// complete version, never a partially written one.
 //
 // Localization follows the appearance-based approach of Rivera-Rubio et
 // al. (see PAPERS.md): the query frame runs through the same feature
@@ -166,9 +167,9 @@ type PlanVersion struct {
 	// Version increases monotonically per building, starting at 1.
 	Version uint64
 	// ETag is the hex content hash over every artifact of the version
-	// (vector JSON geometry, PNG, localization index, and the comparison
-	// parameter signature). Identical reconstructions produce identical
-	// ETags.
+	// (vector JSON geometry, PNG, SVG, localization index, and the
+	// comparison parameter signature). Identical reconstructions produce
+	// identical ETags.
 	ETag string
 }
 
@@ -180,15 +181,21 @@ type PlanView struct {
 	JSON []byte
 	// PNG is the rendered occupancy-grid raster.
 	PNG []byte
+	// SVG is the vector drawing of the plan (floorplan.Plan.RenderSVG).
+	SVG []byte
 }
 
 // Publish makes a completed reconstruction the building's current served
-// version: it renders the vector JSON and PNG artifacts, builds and
+// version: it renders the vector JSON, SVG and PNG artifacts, builds and
 // persists the localization index, and — only after everything is stored —
 // atomically swaps the current-version pointer. Publishing a result whose
-// content hash equals the current version's is a no-op that returns the
-// existing version. Safe to call concurrently with readers; never safe to
-// observe half-published (readers see the old version until the swap).
+// content hash equals the current version's keeps the existing version;
+// when only res.Corpus differs, the record is rewritten in place under the
+// same version and ETag so it names the corpus just built. Every publish
+// that returns nil advances exactly one of mapserve.publishes (a version
+// was written) and mapserve.publish.unchanged (the version was kept). Safe
+// to call concurrently with readers; never safe to observe half-published
+// (readers see the old version until the swap).
 func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, error) {
 	if building == "" {
 		return PlanVersion{}, fmt.Errorf("mapserve: empty building")
@@ -204,6 +211,10 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	if err != nil {
 		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
 	}
+	svg, err := res.Plan.RenderSVG()
+	if err != nil {
+		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
+	}
 	idxBytes, err := encodeLocIndex(buildLocArtifact(res, s.kf))
 	if err != nil {
 		return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
@@ -215,6 +226,7 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	h := sha256.New()
 	h.Write(geo)
 	h.Write(png)
+	h.Write(svg)
 	h.Write(idxBytes)
 	h.Write([]byte(s.kf.Signature()))
 	etag := hex.EncodeToString(h.Sum(nil))
@@ -223,6 +235,11 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	repair := false
 	if cur != nil && cur.ETag == etag {
 		if s.storedIntact(cur) {
+			if cur.Corpus != res.Corpus {
+				if err := s.recommit(cur, res.Corpus); err != nil {
+					return PlanVersion{}, fmt.Errorf("mapserve: publish %s: %w", building, err)
+				}
+			}
 			s.reg.Counter("mapserve.publish.unchanged").Inc()
 			return PlanVersion{Building: building, Version: cur.Version, ETag: cur.ETag}, nil
 		}
@@ -255,7 +272,9 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 		ETag:     etag,
 		JSON:     finalJSON,
 		PNG:      png,
+		SVG:      svg,
 		IndexKey: indexKey(building, etag),
+		Corpus:   res.Corpus,
 	}
 	// Durability order is the commit protocol: version floor first, index
 	// second, plan record last. The plan record is the commit point —
@@ -294,6 +313,26 @@ func (s *Service) Publish(building string, res *crowdmap.Result) (PlanVersion, e
 	s.reg.Counter("mapserve.publishes").Inc()
 	s.reg.Gauge("mapserve.plan.version").Set(float64(version))
 	return PlanVersion{Building: building, Version: version, ETag: etag}, nil
+}
+
+// recommit rewrites the current record under the same version and ETag,
+// naming a new input corpus: the content did not change, but the record
+// must say which corpus it now stands for. Readers see the same bytes
+// before and after.
+func (s *Service) recommit(cur *planRecord, corpus string) error {
+	rec := *cur
+	rec.Corpus = corpus
+	data, err := encodePlanRecord(&rec)
+	if err != nil {
+		return err
+	}
+	if err := s.keep.Put(CollServe, planKey(rec.Building), data); err != nil {
+		return fmt.Errorf("store plan: %w", err)
+	}
+	s.mu.Lock()
+	s.current[rec.Building] = &rec
+	s.mu.Unlock()
+	return nil
 }
 
 // storedIntact reports whether the current record's persisted artifacts
@@ -353,6 +392,7 @@ func (s *Service) Plan(building string) (PlanView, bool) {
 		PlanVersion: PlanVersion{Building: building, Version: rec.Version, ETag: rec.ETag},
 		JSON:        rec.JSON,
 		PNG:         rec.PNG,
+		SVG:         rec.SVG,
 	}, true
 }
 
@@ -550,10 +590,18 @@ func (s *Service) Buildings() []string {
 // (which takes Publish's repair path) heals it. Corrupt documents are
 // quarantined as a side effect, exactly as the serving read path would.
 func (s *Service) Verify(building string) (published bool, err error) {
+	_, published, err = s.VerifyCorpus(building)
+	return published, err
+}
+
+// VerifyCorpus is Verify that also returns the corpus fingerprint named by
+// the verified on-disk plan record (Result.Corpus at its publish). The
+// corpus is empty unless every artifact verified.
+func (s *Service) VerifyCorpus(building string) (corpus string, published bool, err error) {
 	data, ok, gerr := s.keep.Get(CollServe, planKey(building))
 	if gerr != nil {
 		s.reg.Counter("mapserve.plan.corrupt").Inc()
-		return true, gerr
+		return "", true, gerr
 	}
 	if !ok {
 		s.mu.RLock()
@@ -562,23 +610,23 @@ func (s *Service) Verify(building string) (published bool, err error) {
 		if inMem || s.hasVersionFloor(building) {
 			// Published at some point (still serving from memory, or the
 			// floor document survived) but the record is gone from disk.
-			return true, fmt.Errorf("mapserve: %s: plan record missing", building)
+			return "", true, fmt.Errorf("mapserve: %s: plan record missing", building)
 		}
-		return false, nil
+		return "", false, nil
 	}
 	rec, derr := decodePlanRecord(data)
 	if derr != nil {
 		s.keep.Quarantine(CollServe, planKey(building))
 		s.reg.Counter("mapserve.plan.decode_errors").Inc()
-		return true, derr
+		return "", true, derr
 	}
 	if _, ok, gerr := s.keep.Get(CollServe, rec.IndexKey); gerr != nil {
 		s.reg.Counter("mapserve.index.corrupt").Inc()
-		return true, gerr
+		return "", true, gerr
 	} else if !ok {
-		return true, fmt.Errorf("mapserve: %s: %w (key %s)", building, ErrIndexUnavailable, rec.IndexKey)
+		return "", true, fmt.Errorf("mapserve: %s: %w (key %s)", building, ErrIndexUnavailable, rec.IndexKey)
 	}
-	return true, nil
+	return rec.Corpus, true, nil
 }
 
 func (s *Service) hasVersionFloor(building string) bool {

@@ -572,3 +572,52 @@ func TestConcurrentLocateDuringPublish(t *testing.T) {
 func errVersionTornState(version uint64, prev, next string) error {
 	return fmt.Errorf("torn version %d: %s vs %s", version, prev, next)
 }
+
+// TestPublishRecommitsCorpus: republishing identical content built from
+// another corpus keeps the version and ETag, rewrites the record so it
+// names the new corpus, and counts as unchanged — every publish moves
+// exactly one of mapserve.publishes and mapserve.publish.unchanged.
+func TestPublishRecommitsCorpus(t *testing.T) {
+	f := fixture(t)
+	st := store.New()
+	s := newTestService(t, st)
+	withCorpus := func(corpus string) *crowdmap.Result {
+		r := *f.res
+		r.Corpus = corpus
+		return &r
+	}
+	v1, err := s.Publish(fixBuilding, withCorpus("corpus-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := s.Plan(fixBuilding)
+	for i, corpus := range []string{"corpus-a", "corpus-b"} {
+		v, err := s.Publish(fixBuilding, withCorpus(corpus))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != v1 {
+			t.Fatalf("republish %q changed identity: %+v -> %+v", corpus, v1, v)
+		}
+		c := s.reg.Snapshot().Counters
+		if c["mapserve.publishes"] != 1 || c["mapserve.publish.unchanged"] != int64(i+1) {
+			t.Fatalf("after republish %q: publishes=%d unchanged=%d, want 1/%d",
+				corpus, c["mapserve.publishes"], c["mapserve.publish.unchanged"], i+1)
+		}
+	}
+	// A restarted service reads the rewritten record from disk.
+	cold := newTestService(t, st)
+	corpus, published, err := cold.VerifyCorpus(fixBuilding)
+	if err != nil || !published || corpus != "corpus-b" {
+		t.Fatalf("VerifyCorpus after recommit = (%q, %t, %v), want corpus-b", corpus, published, err)
+	}
+	view, ok := cold.Plan(fixBuilding)
+	if !ok || view.PlanVersion != first.PlanVersion ||
+		string(view.JSON) != string(first.JSON) || string(view.PNG) != string(first.PNG) ||
+		string(view.SVG) != string(first.SVG) || len(view.SVG) == 0 {
+		t.Fatalf("recommitted record serves different bytes or identity: %+v vs %+v", view.PlanVersion, first.PlanVersion)
+	}
+	if corpus, published, err := cold.VerifyCorpus("never-built"); corpus != "" || published || err != nil {
+		t.Fatalf("VerifyCorpus(never-built) = (%q, %t, %v)", corpus, published, err)
+	}
+}

@@ -16,18 +16,27 @@ import (
 	"crowdmap/internal/geom"
 )
 
-// planRecord is the persisted current-version document for one building.
-// It is the commit point of a publish: once the record is stored (and the
-// in-memory pointer swapped), readers serve this version. The localization
-// index is persisted separately under IndexKey so plan serving never pays
-// to decode features it does not read.
+// planRecord is the persisted current-version document for one building
+// and the daemon's only plan store. It is the commit point of a publish
+// and of the reconstruction job behind it: once the record is stored (and
+// the in-memory pointer swapped), readers serve this version, and Corpus
+// names the input it was built from. The localization index is persisted
+// separately under IndexKey so plan serving never pays to decode features
+// it does not read.
 type planRecord struct {
 	Building string
 	Version  uint64
 	ETag     string
 	JSON     []byte
 	PNG      []byte
+	SVG      []byte
 	IndexKey string
+	// Corpus is the crowdmap.CorpusFingerprint of the reconstruction's
+	// input. It is not part of the ETag: a rebuild of a different corpus
+	// that renders identical bytes is the same served version. Records
+	// written before the field existed decode with it empty, which matches
+	// no corpus.
+	Corpus string
 }
 
 func encodePlanRecord(rec *planRecord) ([]byte, error) {

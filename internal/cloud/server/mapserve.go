@@ -1,7 +1,7 @@
 package server
 
-// Read-tier HTTP surface: versioned plan serving (vector JSON + rendered
-// PNG, with ETag/If-None-Match revalidation) and the localization
+// Read-tier HTTP surface: versioned plan serving (vector JSON, SVG and
+// rendered PNG, with ETag/If-None-Match revalidation) and the localization
 // endpoint, both delegating to a mapserve.Service. The routes are always
 // registered — a server built without WithMapServe answers them 404 — so
 // the route table (and the docs/API.md drift check over it) does not
@@ -87,6 +87,11 @@ func (s *Server) handleBuildingPlan(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBuildingPlanPNG(w http.ResponseWriter, r *http.Request) {
 	s.servePlanArtifact(w, r, "image/png",
 		func(v mapserve.PlanView) []byte { return v.PNG })
+}
+
+func (s *Server) handleBuildingPlanSVG(w http.ResponseWriter, r *http.Request) {
+	s.servePlanArtifact(w, r, "image/svg+xml",
+		func(v mapserve.PlanView) []byte { return v.SVG })
 }
 
 // LocateRequest is the POST /api/v1/buildings/{building}/locate body: one

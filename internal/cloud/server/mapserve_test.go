@@ -83,64 +83,83 @@ func getPlan(t *testing.T, ts *httptest.Server, path, inm string) *http.Response
 }
 
 func TestPlanEndpointConditionalGet(t *testing.T) {
-	_, ts, _, _ := newMapServer(t)
-	path := "/api/v1/buildings/" + serveBuilding + "/plan"
+	ms, ts, _, _ := newMapServer(t)
+	view, _ := ms.Plan(serveBuilding)
+	for _, art := range []struct {
+		name, contentType string
+		want              []byte
+	}{
+		{"plan", "application/json", view.JSON},
+		{"plan.svg", "image/svg+xml", view.SVG},
+	} {
+		path := "/api/v1/buildings/" + serveBuilding + "/" + art.name
 
-	resp := getPlan(t, ts, path, "")
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan GET = %d", resp.StatusCode)
+		resp := getPlan(t, ts, path, "")
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s GET = %d", art.name, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != art.contentType {
+			t.Errorf("%s Content-Type = %q", art.name, ct)
+		}
+		etag := resp.Header.Get("ETag")
+		if etag == "" || !strings.HasPrefix(etag, `"`) {
+			t.Fatalf("%s ETag = %q, want quoted entity-tag", art.name, etag)
+		}
+		if etag != `"`+view.ETag+`"` {
+			t.Errorf("%s ETag = %s, want the version's %q", art.name, etag, view.ETag)
+		}
+		if v := resp.Header.Get("X-Plan-Version"); v != "1" {
+			t.Errorf("%s X-Plan-Version = %q, want 1", art.name, v)
+		}
+		if cc := resp.Header.Get("Cache-Control"); cc != "no-cache" {
+			t.Errorf("%s Cache-Control = %q", art.name, cc)
+		}
+		if !bytes.Equal(body, art.want) {
+			t.Errorf("%s body differs from the published artifact (%d vs %d bytes)", art.name, len(body), len(art.want))
+		}
+
+		// Matching If-None-Match revalidates for free.
+		for _, inm := range []string{etag, "W/" + etag, `"zzz", ` + etag, "*"} {
+			resp := getPlan(t, ts, path, inm)
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotModified {
+				t.Errorf("%s If-None-Match %q: status %d, want 304", art.name, inm, resp.StatusCode)
+			}
+			if len(b) != 0 {
+				t.Errorf("%s If-None-Match %q: 304 carried %d body bytes", art.name, inm, len(b))
+			}
+			if got := resp.Header.Get("ETag"); got != etag {
+				t.Errorf("%s 304 ETag = %q, want %q", art.name, got, etag)
+			}
+		}
+
+		// A stale tag still gets the full representation.
+		resp = getPlan(t, ts, path, `"0000"`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s stale If-None-Match: status %d, want 200", art.name, resp.StatusCode)
+		}
+
+		// Unknown building: 404.
+		resp = getPlan(t, ts, "/api/v1/buildings/nowhere/"+art.name, "")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s unknown building = %d, want 404", art.name, resp.StatusCode)
+		}
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	etag := resp.Header.Get("ETag")
-	if etag == "" || !strings.HasPrefix(etag, `"`) {
-		t.Fatalf("ETag = %q, want quoted entity-tag", etag)
-	}
-	if v := resp.Header.Get("X-Plan-Version"); v != "1" {
-		t.Errorf("X-Plan-Version = %q, want 1", v)
-	}
-	if cc := resp.Header.Get("Cache-Control"); cc != "no-cache" {
-		t.Errorf("Cache-Control = %q", cc)
-	}
+
 	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("body not JSON: %v", err)
+	if err := json.Unmarshal(view.JSON, &doc); err != nil {
+		t.Fatalf("plan not JSON: %v", err)
 	}
 	if doc["building"] != serveBuilding || doc["version"] != float64(1) {
 		t.Errorf("doc identity = %v/%v", doc["building"], doc["version"])
 	}
-
-	// Matching If-None-Match revalidates for free.
-	for _, inm := range []string{etag, "W/" + etag, `"zzz", ` + etag, "*"} {
-		resp := getPlan(t, ts, path, inm)
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotModified {
-			t.Errorf("If-None-Match %q: status %d, want 304", inm, resp.StatusCode)
-		}
-		if len(b) != 0 {
-			t.Errorf("If-None-Match %q: 304 carried %d body bytes", inm, len(b))
-		}
-		if got := resp.Header.Get("ETag"); got != etag {
-			t.Errorf("304 ETag = %q, want %q", got, etag)
-		}
-	}
-
-	// A stale tag still gets the full representation.
-	resp = getPlan(t, ts, path, `"0000"`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("stale If-None-Match: status %d, want 200", resp.StatusCode)
-	}
-
-	// Unknown building: 404.
-	resp = getPlan(t, ts, "/api/v1/buildings/nowhere/plan", "")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown building = %d, want 404", resp.StatusCode)
+	if !bytes.HasPrefix(view.SVG, []byte("<svg")) {
+		t.Errorf("plan.svg does not start with an <svg> element: %.40q", view.SVG)
 	}
 }
 
@@ -281,6 +300,7 @@ func TestReadTierDisabledReturns404(t *testing.T) {
 	for _, path := range []string{
 		"/api/v1/buildings/x/plan",
 		"/api/v1/buildings/x/plan.png",
+		"/api/v1/buildings/x/plan.svg",
 	} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {

@@ -2,12 +2,13 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"crowdmap/internal/cloud/integrity"
+	"crowdmap/internal/cloud/mapserve"
 	"crowdmap/internal/cloud/store"
 	"crowdmap/internal/obs"
 )
@@ -71,62 +72,63 @@ func TestReadyzDefaultReady(t *testing.T) {
 	}
 }
 
-// TestPlanRoundTripAndCorruption: the legacy SVG plan endpoints store
-// under an integrity envelope; a document corrupted at rest is
-// quarantined and answered 404, never served.
+// TestPlanRoundTripAndCorruption: a published plan drawing round-trips
+// through GET plan.svg byte for byte; a plan record corrupted at rest is
+// quarantined on the next cold read and answered 404, never served.
 func TestPlanRoundTripAndCorruption(t *testing.T) {
 	st := store.New()
-	reg := obs.New()
-	srv, err := New(st, WithObs(reg))
+	ms, err := mapserve.New(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	res, _ := serveResult(t, testCapture(t), nil)
+	if _, err := ms.Publish(serveBuilding, res); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ms.Plan(serveBuilding)
 
-	svg := []byte("<svg>plan</svg>")
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/api/v1/plans/Lab2", bytes.NewReader(svg))
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("put plan = %d", resp.StatusCode)
-	}
-	get := func() (*http.Response, string) {
+	// serve boots a server and a fresh read tier over st, as a restarted
+	// daemon does, and fetches the drawing.
+	serve := func(reg *obs.Registry) (int, []byte) {
 		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + "/api/v1/plans/Lab2")
+		cold, err := mapserve.New(st, mapserve.WithObs(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		resp.Body.Close()
-		return resp, buf.String()
+		srv, err := New(st, WithObs(reg), WithMapServe(cold))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		resp := getPlan(t, ts, "/api/v1/buildings/"+serveBuilding+"/plan.svg", "")
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
 	}
-	if resp, body := get(); resp.StatusCode != http.StatusOK || !strings.Contains(body, "plan") {
-		t.Fatalf("get plan = %d %q", resp.StatusCode, body)
+	if status, body := serve(obs.New()); status != http.StatusOK || !bytes.Equal(body, want.SVG) {
+		t.Fatalf("get plan.svg = %d, %d bytes; want 200 and the %d published bytes", status, len(body), len(want.SVG))
 	}
 
-	// Rot the stored document; the envelope catches it.
-	raw, ok := st.Get(CollPlans, "Lab2")
+	// Rot the stored record; the envelope catches it.
+	raw, ok := st.Get(mapserve.CollServe, serveBuilding+"/plan")
 	if !ok {
-		t.Fatal("plan doc missing from store")
+		t.Fatal("plan record missing from store")
 	}
 	mut := append([]byte(nil), raw...)
 	mut[len(mut)-1] ^= 0x01
-	if err := st.Put(CollPlans, "Lab2", mut); err != nil {
+	if err := st.Put(mapserve.CollServe, serveBuilding+"/plan", mut); err != nil {
 		t.Fatal(err)
 	}
-	if resp, body := get(); resp.StatusCode != http.StatusNotFound || strings.Contains(body, "plan") {
-		t.Fatalf("corrupt plan served: %d %q", resp.StatusCode, body)
+	reg := obs.New()
+	if status, body := serve(reg); status != http.StatusNotFound || bytes.Contains(body, []byte("<svg")) {
+		t.Fatalf("corrupt plan served: %d %.40q", status, body)
 	}
 	c := reg.Snapshot().Counters
-	if c["plans.get.corrupt"] != 1 || c["integrity.quarantined"] != 1 {
+	if c["mapserve.plan.corrupt"] != 1 || c["integrity.quarantined"] != 1 {
 		t.Fatalf("corruption counters = %v", c)
 	}
-	if _, ok := st.Get(integrity.QuarantineColl, CollPlans+"/Lab2"); !ok {
-		t.Fatal("corrupt plan not quarantined")
+	if _, ok := st.Get(integrity.QuarantineColl, mapserve.CollServe+"/"+serveBuilding+"/plan"); !ok {
+		t.Fatal("corrupt plan record not quarantined")
 	}
 }

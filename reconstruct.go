@@ -52,6 +52,10 @@ type Result struct {
 	Excluded []Exclusion
 	// Coverage summarizes how much of the input corpus the plan rests on.
 	Coverage Coverage
+	// Corpus is the CorpusFingerprint of the input captures. A published
+	// plan records it, so a restarted daemon can tell whether the served
+	// plan was built from the corpus it holds.
+	Corpus string
 }
 
 // Exclusion records one capture a reconstruction run completed without.
@@ -160,12 +164,12 @@ func (e *CaptureError) Error() string {
 
 func (e *CaptureError) Unwrap() error { return e.Err }
 
-// Stage names recorded in a checkpoint journal (Config.Checkpoints).
+// Stage names. StageKeyframes labels Result.Excluded entries from
+// extraction; StagePairs keys the journaled pair-comparison payload
+// (Config.Checkpoints).
 const (
 	StageKeyframes = "keyframes"
 	StagePairs     = "pairs"
-	StageSkeleton  = "skeleton"
-	StagePlan      = "plan"
 )
 
 // StageQualityGate names the pre-pipeline quality gate in
@@ -201,10 +205,10 @@ func Reconstruct(captures []*Capture, cfg Config) (*Result, error) {
 // ReconstructContext is Reconstruct under a caller context: cancellation
 // (or a deadline, e.g. a retry policy's per-attempt timeout) stops the
 // pipeline between and within stages. When Config.JobID and
-// Config.Checkpoints are set, each finished stage is recorded in the
-// journal keyed by the corpus fingerprint; the pair-comparison stage
-// additionally persists its decisions (the exported PairCache), which a
-// resumed run reloads so the expensive anchor searches are not repeated.
+// Config.Checkpoints are set, the pair-comparison stage persists its
+// decisions (the exported PairCache) in the journal, keyed by the corpus
+// fingerprint, and a resumed run reloads them so the expensive anchor
+// searches are not repeated.
 // Because decisions are identical with or without the cache, a resumed
 // run produces a plan byte-identical to an uninterrupted one.
 //
@@ -247,10 +251,7 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		ds.ckpt = ckpt
 		ds.job = cfg.JobID
 	}
-	fp := ""
-	if ckpt != nil {
-		fp = CorpusFingerprint(captures)
-	}
+	fp := CorpusFingerprint(captures)
 	// Metrics: use the caller's registry when provided so stage timings
 	// appear on a shared /metrics endpoint; fall back to a private one.
 	// Instrumented subsystems receive it via their Params (keyframe,
@@ -270,7 +271,7 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	ds.begin(reg)
 	totalDone := obs.Stage(reg, "reconstruct.total")
 
-	res := &Result{RoomFailures: make(map[string]error)}
+	res := &Result{RoomFailures: make(map[string]error), Corpus: fp}
 
 	// Stage 0: quality gate and modality routing. Irrecoverable captures
 	// are excluded here — before any expensive work — and sanitized copies
@@ -452,9 +453,6 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	reg.Counter("reconstruct.mode.routed.trajectory").Add(int64(trajUsed))
 	reg.Counter("reconstruct.excluded").Add(int64(len(res.Excluded)))
 	extractDone()
-	// Checkpoint writes are best-effort: losing one costs recomputation on
-	// the next attempt, never correctness.
-	_ = ckpt.Complete(cfg.JobID, StageKeyframes, fp, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -491,6 +489,8 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 	}
 	aggDone()
 	if ckpt != nil {
+		// Checkpoint writes are best-effort: losing one costs recomputation
+		// on the next attempt, never correctness.
 		var payload []byte
 		if cfg.PairCache != nil {
 			payload, _ = cfg.PairCache.ExportJSON()
@@ -530,7 +530,6 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		return nil, fmt.Errorf("crowdmap: skeleton: %w", err)
 	}
 	skelDone()
-	_ = ckpt.Complete(cfg.JobID, StageSkeleton, fp, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -613,7 +612,6 @@ func reconstructPipeline(ctx context.Context, captures []*Capture, cfg Config, d
 		Trajectories: global,
 	}
 	totalDone()
-	_ = ckpt.Complete(cfg.JobID, StagePlan, fp, nil)
 	ds.finish()
 	res.Metrics = reg.Snapshot()
 	return res, nil

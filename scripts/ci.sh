@@ -130,7 +130,7 @@ done
 # The scan picks the corpus up within -interval; poll for the plan.
 plan_ok=0
 for i in $(seq 1 120); do
-	if curl -fsS -o /dev/null http://127.0.0.1:18743/api/v1/plans/Lab2 2>/dev/null; then
+	if curl -fsS -o /dev/null http://127.0.0.1:18743/api/v1/buildings/Lab2/plan 2>/dev/null; then
 		plan_ok=1; break
 	fi
 	sleep 1
@@ -173,7 +173,7 @@ for cap in $first; do
 done
 plan_ok=0
 for i in $(seq 1 120); do
-	if curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/plans/Lab2 2>/dev/null; then
+	if curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/buildings/Lab2/plan 2>/dev/null; then
 		plan_ok=1; break
 	fi
 	sleep 1
@@ -211,7 +211,7 @@ if [ "$((extracted - extracted_before))" -gt 1 ]; then
 	echo "smoke3: incremental run extracted $((extracted - extracted_before)) tracks, want <= 1"
 	cat "$smoke/daemon3.log"; exit 1
 fi
-curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/plans/Lab2 || {
+curl -fsS -o /dev/null http://127.0.0.1:18744/api/v1/buildings/Lab2/plan || {
 	echo "smoke3: plan gone after incremental run"; cat "$smoke/daemon3.log"; exit 1; }
 kill -TERM "$daemon3"
 wait "$daemon3" || { echo "smoke3: daemon exited nonzero"; cat "$smoke/daemon3.log"; exit 1; }
@@ -245,7 +245,7 @@ for cap in "$smoke"/imucaps/*.zip; do
 done
 plan_ok=0
 for i in $(seq 1 120); do
-	if curl -fsS -o /dev/null http://127.0.0.1:18745/api/v1/plans/Lab2 2>/dev/null; then
+	if curl -fsS -o /dev/null http://127.0.0.1:18745/api/v1/buildings/Lab2/plan 2>/dev/null; then
 		plan_ok=1; break
 	fi
 	sleep 1
@@ -270,10 +270,10 @@ trap 'rm -rf "$smoke"' EXIT
 echo "smoke4: trajectory-mode plan served ($routed IMU-only captures routed)"
 
 # Corruption-repair smoke test: reconstruct a plan into a durable data
-# dir, stop the daemon, flip one bit of the persisted plan document
-# offline (scripts/chaoscorrupt.go writes the rot through the WAL), and
-# restart with a tight scrub interval. The scrubber must detect and
-# quarantine the corrupt document, the self-healing scan must rebuild it,
+# dir, stop the daemon, flip one bit of the read tier's persisted plan
+# record offline (scripts/chaoscorrupt.go writes the rot through the WAL),
+# and restart with a tight scrub interval. The scrubber must detect and
+# quarantine the corrupt record, the self-healing scan must republish it,
 # and the plan must be served again — corrupt bytes never reach a client.
 echo "== corruption-repair smoke test =="
 go run ./cmd/datagen -building Lab2 -walks 3 -visits 0 -users 1 -out "$smoke/chaoscaps"
@@ -295,7 +295,7 @@ for cap in "$smoke"/chaoscaps/*.zip; do
 done
 plan_ok=0
 for i in $(seq 1 120); do
-	if curl -fsS -o /dev/null http://127.0.0.1:18746/api/v1/plans/Lab2 2>/dev/null; then
+	if curl -fsS -o /dev/null http://127.0.0.1:18746/api/v1/buildings/Lab2/plan 2>/dev/null; then
 		plan_ok=1; break
 	fi
 	sleep 1
@@ -305,7 +305,7 @@ if [ "$plan_ok" -ne 1 ]; then
 fi
 kill -TERM "$daemon5"
 wait "$daemon5" || { echo "smoke5: daemon exited nonzero"; cat "$smoke/daemon5.log"; exit 1; }
-go run scripts/chaoscorrupt.go -data-dir "$smoke/chaosdata" -coll plans -key Lab2
+go run scripts/chaoscorrupt.go -data-dir "$smoke/chaosdata" -coll mapserve -key Lab2/plan
 "$smoke/crowdmapd" -addr 127.0.0.1:18746 -data-dir "$smoke/chaosdata" \
 	-interval 1s -scrub-interval 1s -hypotheses 200 -drain-timeout 20s \
 	>"$smoke/daemon5b.log" 2>&1 &
@@ -314,22 +314,24 @@ metric5() {
 	curl -fsS http://127.0.0.1:18746/metrics |
 		grep -o "\"$1\": *[0-9]*" | head -n 1 | grep -o '[0-9]*$'
 }
+# The record was lost while the daemon was down, so the repair is a
+# republish at the next version: it counts on mapserve.publishes.
 repair_ok=0
 for i in $(seq 1 120); do
 	corrupt=$(metric5 scrub.corrupt 2>/dev/null || echo 0)
-	repaired=$(metric5 integrity.repaired 2>/dev/null || echo 0)
-	if [ "${corrupt:-0}" -ge 1 ] && [ "${repaired:-0}" -ge 1 ]; then
+	published=$(metric5 mapserve.publishes 2>/dev/null || echo 0)
+	if [ "${corrupt:-0}" -ge 1 ] && [ "${published:-0}" -ge 1 ]; then
 		repair_ok=1; break
 	fi
 	sleep 1
 done
 if [ "$repair_ok" -ne 1 ]; then
-	echo "smoke5: corruption not detected+repaired (scrub.corrupt=${corrupt:-0} integrity.repaired=${repaired:-0})"
+	echo "smoke5: corruption not detected+repaired (scrub.corrupt=${corrupt:-0} mapserve.publishes=${published:-0})"
 	cat "$smoke/daemon5b.log"; exit 1
 fi
 plan_ok=0
 for i in $(seq 1 60); do
-	if curl -fsS -o "$smoke/repaired_plan.svg" http://127.0.0.1:18746/api/v1/plans/Lab2 2>/dev/null; then
+	if curl -fsS -o "$smoke/repaired_plan.svg" http://127.0.0.1:18746/api/v1/buildings/Lab2/plan.svg 2>/dev/null; then
 		plan_ok=1; break
 	fi
 	sleep 1
